@@ -112,6 +112,7 @@ def cmd_eval(args) -> int:
 
 def cmd_infer(args) -> int:
     from .raster import RasterPatch, read_raster, write_raster
+    from .tensor import Tensor
     from .train import load_model_from_checkpoint
 
     model, cfg, meta = load_model_from_checkpoint(args.checkpoint)
@@ -123,8 +124,8 @@ def cmd_infer(args) -> int:
             f"checkpoint expects {model.image_size}px inputs, raster is "
             f"{patch.width}x{patch.height}"
         )
-    images = patch.values.astype(np.float64)[None]
-    heights, _ = model.predict(images)
+    out = model(Tensor(patch.values.astype(np.float64)[None]))[model.finest_level]
+    heights = out.heights.data
     side = heights.shape[-1]
     factor = model.image_size // side
     out_patch = RasterPatch(
@@ -140,15 +141,12 @@ def cmd_infer(args) -> int:
             raise ConfigError(f"--probe wants x,y integers, got {args.probe!r}") from exc
         if not (0 <= x < side and 0 <= y < side):
             raise ConfigError(f"--probe {args.probe} outside the {side}px output")
-        from .tensor import Tensor
-
-        out = model(Tensor(images))[model.finest_level]
         probe = {
             "pixel": [x, y],
             "edges": [float(v) for v in out.bins.edges.data[0]],
             "centers": [float(v) for v in out.bins.centers.data[0]],
             "probs": [float(v) for v in out.probs.data[0, :, y, x]],
-            "height": float(out.heights.data[0, 0, y, x]),
+            "height": float(heights[0, 0, y, x]),
         }
         print(json.dumps(probe))
     print(msg)
@@ -218,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all primitives")
-    p.add_argument("--config", help="unused shapes come from defaults", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
 

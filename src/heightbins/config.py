@@ -109,6 +109,12 @@ class RunConfig:
         self.model.validate()
         self.loss.validate()
         self.optimizer.validate()
+        head = self.model.head
+        if not head.h_min <= self.loss.fg_threshold <= head.h_max:
+            raise ConfigError(
+                f"loss.fg_threshold {self.loss.fg_threshold} outside "
+                f"[{head.h_min}, {head.h_max}]"
+            )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

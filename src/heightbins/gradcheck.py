@@ -112,15 +112,6 @@ def check_gradients(
     return report
 
 
-def _projection_loss(rng, out):
-    """Flatten `out` and dot it with a fixed random vector to get a scalar."""
-    from .tensor import reshape, tsum
-
-    w = Tensor(rng.standard_normal(int(np.prod(out.shape))))
-    flat = reshape(out, (int(np.prod(out.shape)),))
-    return tsum(flat * w)
-
-
 def run_primitive_suite(seed: int = 0, raise_on_fail: bool = False) -> list[GradCheckReport]:
     """Finite-difference check of every differentiable primitive.
 

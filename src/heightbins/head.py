@@ -55,7 +55,6 @@ class HeadConfig:
         depth: transformer block count (0 = patch projection only).
         n_heads: attention heads per block.
         h_min, h_max: height range in meters.
-        fg_threshold: meters separating foreground from background labels.
         use_htc: enable the head-tail cut (fg/bg split plus gate); when
             False the head has a single branch and no gate.
     """
@@ -68,7 +67,6 @@ class HeadConfig:
     n_heads: int = 4
     h_min: float = 0.0
     h_max: float = 100.0
-    fg_threshold: float = 1.0
     use_htc: bool = True
 
     def validate(self) -> None:
@@ -88,10 +86,6 @@ class HeadConfig:
         if not self.h_max > self.h_min:
             raise ConfigError(
                 f"degenerate height range: h_max {self.h_max} must exceed h_min {self.h_min}"
-            )
-        if self.fg_threshold < self.h_min or self.fg_threshold > self.h_max:
-            raise ConfigError(
-                f"fg_threshold {self.fg_threshold} outside [{self.h_min}, {self.h_max}]"
             )
 
 

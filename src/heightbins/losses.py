@@ -5,9 +5,11 @@ The constraint losses build, per pixel, a reference categorical over the
 current bins from a parametric distribution centered at the ground-truth
 height.  The distribution's scale is solved analytically from the mode
 probability P_m (the predicted probability of the bin containing the GT
-value), after which the loss is KL(reference || predicted).  Reference
-construction is done entirely on detached values: the scale defines the
-target, not a gradient path.
+value); each family's CDF is written once, in _family_probs_grid, and
+differenced over the bin edges.  The loss is KL(reference || predicted),
+computed on the tape inside dc_loss.  Reference construction is done
+entirely on detached values: the scale defines the target, not a
+gradient path.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as np_erf
+from scipy.special import erf as np_erf, erfinv
 
-from .errors import ConfigError, ContractViolation
-from .special import ierf
+from .errors import ConfigError, ContractViolation, DomainError
 from .tensor import (
     Tensor,
     clip,
@@ -36,16 +37,11 @@ from .tensor import (
 
 __all__ = [
     "FAMILIES",
-    "ReferenceDistribution",
     "LossConfig",
     "solve_gaussian_sigma",
     "solve_laplace_b",
-    "solve_uniform_bounds",
-    "reference_bin_probs",
-    "kl_divergence",
     "l1_height_loss",
     "chamfer_bin_loss",
-    "htc_loss",
     "htc_loss_logits",
     "dc_loss",
     "build_reference_probs",
@@ -68,13 +64,23 @@ def _check_delta(delta) -> None:
         raise ContractViolation("bin width must be strictly positive")
 
 
+def _check_pm(p_m) -> None:
+    p = np.asarray(p_m)
+    if not np.all((p > 0) & (p < 1)):
+        raise DomainError("mode probability P_m must lie in the open interval (0, 1)")
+
+
 def solve_gaussian_sigma(p_m, delta):
     """Sigma such that a centered Gaussian puts mass p_m in a width-delta bin.
 
-    sigma = delta / (2*sqrt(2)*ierf(p_m)).  Elementwise over arrays.
+    sigma = delta / (2*sqrt(2)*erfinv(p_m)).  Elementwise over arrays.
+
+    Raises:
+        DomainError: if any p_m lies outside (0, 1).
     """
     _check_delta(delta)
-    return np.asarray(delta) / (2.0 * _SQRT2 * np.asarray(ierf(p_m)))
+    _check_pm(p_m)
+    return np.asarray(delta) / (2.0 * _SQRT2 * erfinv(p_m))
 
 
 def solve_laplace_b(p_m, delta):
@@ -83,112 +89,14 @@ def solve_laplace_b(p_m, delta):
     return -np.asarray(delta) / (2.0 * np.log1p(-np.asarray(p_m)))
 
 
-def solve_uniform_bounds(p_m, delta, location):
-    """Uniform support (a, b): width delta/p_m centered at the GT value."""
-    _check_delta(delta)
-    w = np.asarray(delta) / np.asarray(p_m)
-    return np.asarray(location) - 0.5 * w, np.asarray(location) + 0.5 * w
-
-
-@dataclass(frozen=True)
-class ReferenceDistribution:
-    """One pixel's reference distribution.
-
-    Attributes:
-        family: one of FAMILIES.
-        location: GT height in meters.
-        scale: sigma (gaussian), b (laplace), full width (uniform);
-            None for delta and none.
-    """
-
-    family: str
-    location: float
-    scale: float | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown distribution family '{self.family}'")
-        if self.family in ("gaussian", "laplace", "uniform"):
-            if self.scale is None or self.scale <= 0:
-                raise ContractViolation(
-                    f"{self.family} reference requires a positive scale, got {self.scale}"
-                )
-
-    def cdf(self, x):
-        """Distribution function at x (elementwise)."""
-        x = np.asarray(x, dtype=np.float64)
-        mu = self.location
-        if self.family == "gaussian":
-            return 0.5 * (1.0 + np_erf((x - mu) / (self.scale * _SQRT2)))
-        if self.family == "laplace":
-            z = x - mu
-            return np.where(
-                z < 0, 0.5 * np.exp(z / self.scale), 1.0 - 0.5 * np.exp(-z / self.scale)
-            )
-        if self.family == "uniform":
-            a = mu - 0.5 * self.scale
-            return np.clip((x - a) / self.scale, 0.0, 1.0)
-        if self.family == "delta":
-            return (x >= mu).astype(np.float64)
-        raise ContractViolation("cdf undefined for family 'none'")
-
-
-def _edges_of(bins) -> np.ndarray:
-    edges = bins.edges.data if hasattr(bins, "edges") else np.asarray(bins, dtype=np.float64)
-    if edges.ndim == 2:
-        if edges.shape[0] != 1:
-            raise ContractViolation("reference_bin_probs expects a single bin layout")
-        edges = edges[0]
-    return edges
-
-
 def _delta_bin_index(edges: np.ndarray, location) -> np.ndarray:
     """Index of the bin containing location; on-edge ties go to the lower bin."""
     idx = np.searchsorted(edges, np.asarray(location), side="left") - 1
     return np.clip(idx, 0, len(edges) - 2)
 
 
-def reference_bin_probs(dist: ReferenceDistribution, bins) -> np.ndarray:
-    """Per-bin reference probabilities F(b_i) - F(b_{i-1}).
-
-    Mass falling outside [h_min, h_max] is dropped, not renormalized, so
-    the result sums to at most 1.
-
-    Args:
-        dist: the reference distribution.
-        bins: BinSet (batch of one) or a plain (N+1,) edge array.
-
-    Returns:
-        (N,) nonnegative array.
-    """
-    edges = _edges_of(bins)
-    n = len(edges) - 1
-    if dist.family == "none":
-        return np.zeros(n)
-    if dist.family == "delta":
-        out = np.zeros(n)
-        if edges[0] <= dist.location <= edges[-1]:
-            out[_delta_bin_index(edges, dist.location)] = 1.0
-        return out
-    cdf_vals = dist.cdf(edges)
-    return np.maximum(np.diff(cdf_vals), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # losses
-
-
-def kl_divergence(p_ref: np.ndarray, p: np.ndarray, floor: float = _PROB_FLOOR) -> float:
-    """KL(p_ref || p) over the last axis with 0*log 0 = 0, p floored.
-
-    Plain-array version used for reporting and tests; the training path is
-    the tensor expression inside dc_loss.
-    """
-    p_ref = np.asarray(p_ref, dtype=np.float64)
-    p = np.maximum(np.asarray(p, dtype=np.float64), floor)
-    mask = p_ref > 0
-    terms = np.where(mask, p_ref * (np.log(np.maximum(p_ref, floor)) - np.log(p)), 0.0)
-    return float(terms.sum(axis=-1).mean()) if terms.ndim > 1 else float(terms.sum())
 
 
 def l1_height_loss(pred: Tensor, gt: np.ndarray) -> Tensor:
@@ -233,27 +141,12 @@ def chamfer_bin_loss(
     return edge_to_gt + gt_to_edge
 
 
-def htc_loss(fg_prob: Tensor, gt: np.ndarray, threshold: float = 1.0) -> Tensor:
-    """Mean binary cross-entropy of the gate against (gt > threshold)."""
-    gt = np.asarray(gt, dtype=np.float64)
-    if fg_prob.shape != gt.shape:
-        raise ContractViolation(
-            f"htc_loss: shapes differ, gate {fg_prob.shape} vs gt {gt.shape}"
-        )
-    label = (gt > threshold).astype(np.float64)
-    p = clip(fg_prob, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    pos = mul(Tensor(label), tlog(p))
-    negp = clip(sub(Tensor(np.ones_like(label)), fg_prob), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    neg = mul(Tensor(1.0 - label), tlog(negp))
-    return -tmean(pos + neg)
-
-
 def htc_loss_logits(fg_logit: Tensor, gt: np.ndarray, threshold: float = 1.0) -> Tensor:
-    """Gate cross-entropy computed from pre-sigmoid scores.
+    """Mean binary cross-entropy of the gate sigmoid(fg_logit) against
+    (gt > threshold), computed from the pre-sigmoid scores.
 
-    Equals htc_loss(sigmoid(fg_logit), gt) mathematically, but stays
-    well-conditioned when the gate saturates: mean(softplus(z) - label*z)
-    with softplus(z) = relu(z) + log(1 + exp(-|z|)).
+    mean(softplus(z) - label*z) with softplus(z) = relu(z) + log(1 + exp(-|z|))
+    stays well-conditioned when the gate saturates.
     """
     gt = np.asarray(gt, dtype=np.float64)
     if fg_logit.shape != gt.shape:
@@ -283,7 +176,9 @@ class LossConfig:
             GT bin as P_m; 'constant' uses pm_constant everywhere.
         pm_constant: P_m value when pm_source is 'constant'.
         pm_clamp: (lo, hi) clamp on P_m before solving scales.
-        fg_threshold: meters separating fg from bg supervision.
+        fg_threshold: meters separating fg from bg pixels, the run's one
+            threshold: gate labels, the fg/bg family split, and evaluation
+            (rmse_bg and gate accuracy) all read it.
         chamfer_max_points: optional cap on chamfer GT values per patch.
     """
 
@@ -485,13 +380,10 @@ def total_loss(
                 out.bins.edges[b], gt_level[b].reshape(-1), cfg.chamfer_max_points
             )
         l_b = l_b * (1.0 / bsz)
-        fg_logit = getattr(out, "fg_logit", None)
-        if fg_logit is not None:
-            l_htc = htc_loss_logits(fg_logit, gt_level, cfg.fg_threshold)
-        elif out.fg_prob is not None:
-            l_htc = htc_loss(out.fg_prob, gt_level, cfg.fg_threshold)
-        else:
+        if out.fg_logit is None:
             l_htc = Tensor(0.0)
+        else:
+            l_htc = htc_loss_logits(out.fg_logit, gt_level, cfg.fg_threshold)
         l_dc = dc_loss(
             out.probs,
             gt_level,

@@ -1,10 +1,12 @@
 """Evaluation metrics for height rasters.
 
-Pixel metrics are RMSE over selectable masks: the full image, building
-pixels, their complement, and low ground-truth pixels (below the
-foreground threshold).  The instance metric labels connected building
-components and compares per-instance medians.  Masked metrics over an
-empty mask are undefined and reported as ``None`` rather than NaN.
+MetricAccumulator pools every metric over patches.  Pixel metrics are RMSE
+over four masks: the full image, building pixels, their complement, and
+low ground-truth pixels (below the foreground threshold).  The instance
+metric labels 4-connected building components with scipy.ndimage.label
+and compares per-instance medians.  Gate accuracy compares the thresholded
+gate with (gt > foreground threshold).  Masked metrics over an empty mask
+are undefined and reported as ``None`` rather than NaN.
 """
 
 from __future__ import annotations
@@ -14,17 +16,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
-from .errors import ConfigError, ContractViolation
+from .errors import ContractViolation
 
 __all__ = [
     "EvalReport",
     "MetricAccumulator",
     "compute_report",
     "connected_components",
-    "htc_accuracy",
-    "rmse_buildingwise",
-    "rmse_masked",
 ]
 
 
@@ -37,100 +37,28 @@ def _as_2d(name: str, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def rmse_masked(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray) -> float | None:
-    """Root mean square error over the masked pixels, or None if the mask is empty."""
-    p = _as_2d("pred", pred)
-    g = _as_2d("gt", gt)
-    m = np.asarray(mask).astype(bool)
-    while m.ndim > 2 and m.shape[0] == 1:
-        m = m[0]
-    if p.shape != g.shape or p.shape != m.shape:
-        raise ContractViolation(
-            f"shapes must match, got pred {p.shape}, gt {g.shape}, mask {m.shape}"
-        )
-    n = int(m.sum())
-    if n == 0:
-        return None
-    diff = p[m] - g[m]
-    return float(np.sqrt(np.mean(diff * diff)))
+_FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
 
 
-_NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_NEIGHBORS_8 = _NEIGHBORS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
-
-
-def connected_components(mask: np.ndarray, connectivity: int = 4) -> tuple[np.ndarray, int]:
-    """Label connected regions of a binary mask by flood fill.
+def connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Label the 4-connected regions of a binary mask.
 
     Labels are assigned in row-major order of each component's first pixel,
     starting at 1; background stays 0.  Returns (labels, count).
     """
-    if connectivity == 4:
-        neighbors = _NEIGHBORS_4
-    elif connectivity == 8:
-        neighbors = _NEIGHBORS_8
-    else:
-        raise ConfigError(f"connectivity must be 4 or 8, got {connectivity}")
-    m = np.asarray(mask).astype(bool)
-    while m.ndim > 2 and m.shape[0] == 1:
-        m = m[0]
-    if m.ndim != 2:
-        raise ContractViolation(f"mask must be 2-d, got shape {np.asarray(mask).shape}")
-    h, w = m.shape
-    labels = np.zeros((h, w), dtype=np.int64)
-    count = 0
-    for si in range(h):
-        for sj in range(w):
-            if not m[si, sj] or labels[si, sj]:
-                continue
-            count += 1
-            stack = [(si, sj)]
-            labels[si, sj] = count
-            while stack:
-                i, j = stack.pop()
-                for di, dj in neighbors:
-                    ni, nj = i + di, j + dj
-                    if 0 <= ni < h and 0 <= nj < w and m[ni, nj] and not labels[ni, nj]:
-                        labels[ni, nj] = count
-                        stack.append((ni, nj))
-    return labels, count
+    return ndimage.label(_as_2d("mask", mask), structure=_FOUR_CONNECTED)
 
 
-def per_building_errors(
-    pred: np.ndarray, gt: np.ndarray, footprint: np.ndarray, connectivity: int = 4
-) -> list[float]:
+def per_building_errors(pred: np.ndarray, gt: np.ndarray, footprint: np.ndarray) -> list[float]:
     """Signed (pred median - gt median) per connected footprint component."""
     p = _as_2d("pred", pred)
     g = _as_2d("gt", gt)
-    labels, count = connected_components(footprint, connectivity)
-    if labels.shape != p.shape:
-        raise ContractViolation(
-            f"footprint shape {labels.shape} does not match raster shape {p.shape}"
-        )
+    labels, count = connected_components(footprint)
     errors = []
     for k in range(1, count + 1):
         sel = labels == k
         errors.append(float(np.median(p[sel]) - np.median(g[sel])))
     return errors
-
-
-def rmse_buildingwise(
-    pred: np.ndarray, gt: np.ndarray, footprint: np.ndarray, connectivity: int = 4
-) -> float | None:
-    """RMSE over per-instance median differences, or None with no instances."""
-    errors = per_building_errors(pred, gt, footprint, connectivity)
-    if not errors:
-        return None
-    return float(np.sqrt(np.mean(np.square(errors))))
-
-
-def htc_accuracy(p_fg: np.ndarray, gt: np.ndarray, threshold: float = 1.0) -> float:
-    """Fraction of pixels where the thresholded gate matches (gt > threshold)."""
-    p = _as_2d("p_fg", p_fg)
-    g = _as_2d("gt", gt)
-    if p.shape != g.shape:
-        raise ContractViolation(f"shapes must match, got p_fg {p.shape}, gt {g.shape}")
-    return float(np.mean((p > 0.5) == (g > threshold)))
 
 
 @dataclass
@@ -199,9 +127,8 @@ class MetricAccumulator:
     """Pools metrics across patches: squared errors and counts per mask,
     per-building errors, and gate hit counts, finalized into one report."""
 
-    def __init__(self, fg_threshold: float = 1.0, connectivity: int = 4):
+    def __init__(self, fg_threshold: float = 1.0):
         self.fg_threshold = fg_threshold
-        self.connectivity = connectivity
         self._sq = {"all": 0.0, "m": 0.0, "nm": 0.0, "bg": 0.0}
         self._n = {"all": 0, "m": 0, "nm": 0, "bg": 0}
         self._building_errors: list[float] = []
@@ -223,14 +150,18 @@ class MetricAccumulator:
         # building mask from the footprint raster when one exists,
         # else fall back to thresholded ground truth
         bldg = fg if footprint is None else _as_2d("footprint", footprint) > 0.5
+        if bldg.shape != p.shape:
+            raise ContractViolation(
+                f"footprint shape {bldg.shape} does not match raster shape {p.shape}"
+            )
         sq = (p - g) ** 2
-        masks = (("all", np.ones_like(fg)), ("m", bldg), ("nm", ~bldg), ("bg", g < 1.0))
+        masks = (
+            ("all", np.ones_like(fg)), ("m", bldg), ("nm", ~bldg), ("bg", g < self.fg_threshold)
+        )
         for key, mask in masks:
             self._sq[key] += float(sq[mask].sum())
             self._n[key] += int(mask.sum())
-        self._building_errors.extend(
-            per_building_errors(p, g, bldg, connectivity=self.connectivity)
-        )
+        self._building_errors.extend(per_building_errors(p, g, bldg))
         if fg_prob is not None:
             q = _as_2d("fg_prob", fg_prob)
             self._gate_correct += int(((q > 0.5) == fg).sum())
@@ -264,9 +195,8 @@ def compute_report(
     fg_prob: np.ndarray | None = None,
     footprint: np.ndarray | None = None,
     fg_threshold: float = 1.0,
-    connectivity: int = 4,
 ) -> EvalReport:
     """All metrics for a single raster pair."""
-    acc = MetricAccumulator(fg_threshold=fg_threshold, connectivity=connectivity)
+    acc = MetricAccumulator(fg_threshold=fg_threshold)
     acc.add(pred, gt, fg_prob, footprint)
     return acc.report()

@@ -110,7 +110,7 @@ class TrainResult:
 
 
 def evaluate_model(
-    model: HTCDCNet, ds: PatchDataset, batch_size: int = 8, fg_threshold: float = 1.0
+    model: HTCDCNet, ds: PatchDataset, fg_threshold: float, batch_size: int = 8
 ) -> EvalReport:
     """Pooled metrics of the finest-level prediction over a dataset.
 
@@ -223,7 +223,9 @@ def run_training(cfg: RunConfig, max_steps: int | None = None) -> TrainResult:
 
         train_loss = epoch_loss / max(epoch_n, 1)
         try:
-            val_report = evaluate_model(model, val_ds, batch_size=cfg.batch_size)
+            val_report = evaluate_model(
+                model, val_ds, batch_size=cfg.batch_size, fg_threshold=cfg.loss.fg_threshold
+            )
         except NumericError as exc:
             raise NumericError(
                 f"aborted validating epoch {epoch}: {exc}; the last optimizer "
@@ -303,4 +305,4 @@ def evaluate_split(checkpoint_path: str | Path, split: str, manifest: str | None
         raise ConfigError(
             f"checkpoint expects {model.image_size}px patches, split has {ds.image_size}px"
         )
-    return evaluate_model(model, ds, batch_size=cfg.batch_size, fg_threshold=cfg.model.head.fg_threshold)
+    return evaluate_model(model, ds, batch_size=cfg.batch_size, fg_threshold=cfg.loss.fg_threshold)

@@ -20,18 +20,16 @@ from scipy.special import erf as sp_erf
 from heightbins.config import ModelConfig, OptimizerConfig, RunConfig
 from heightbins.errors import RasterParseError
 from heightbins.gradcheck import run_composite_check, run_primitive_suite
-from heightbins.head import AdaBinsHead, HeadConfig
+from heightbins.head import AdaBinsHead, HeadConfig, build_bins
 from heightbins.losses import (
     LossConfig,
-    ReferenceDistribution,
-    kl_divergence,
+    _family_probs_grid,
     chamfer_bin_loss,
-    reference_bin_probs,
+    dc_loss,
     solve_gaussian_sigma,
     solve_laplace_b,
-    solve_uniform_bounds,
 )
-from heightbins.metrics import compute_report, rmse_buildingwise, rmse_masked
+from heightbins.metrics import compute_report
 from heightbins.raster import RasterPatch, read_raster, write_raster
 from heightbins.synth import SceneSpec, generate_corpus
 from heightbins.tensor import Tensor
@@ -78,7 +76,6 @@ def test_criterion_2_bin_validity(record_criterion):
             n_heads=2,
             h_min=h_min,
             h_max=h_max,
-            fg_threshold=np.clip(1.0, h_min, h_max),
             use_htc=bool(i % 2),
         )
         head = AdaBinsHead(rng, in_channels=3, grid_hw=(4, 4), cfg=cfg)
@@ -130,10 +127,10 @@ def test_criterion_3_dc_round_trips(record_criterion):
             worst = max(worst, abs(_gaussian_mass(sigma, delta) - p_m))
             b = float(solve_laplace_b(p_m, delta))
             worst = max(worst, abs(_laplace_mass(b, delta) - p_m))
-            lo, hi = solve_uniform_bounds(p_m, delta, 0.0)
-            width = float(hi - lo)
-            inside = min(hi, delta / 2) - max(lo, -delta / 2)
-            worst = max(worst, abs(inside / width - p_m))
+            # uniform: the mass the reference CDF puts in the centred GT bin
+            edges = np.array([-delta / 2 - 100.0, -delta / 2, delta / 2, delta / 2 + 100.0])
+            probs = _family_probs_grid("uniform", edges, np.zeros((1, 1)), np.full((1, 1), p_m))
+            worst = max(worst, abs(float(probs[1, 0, 0]) - p_m))
     anchor_sigma = float(solve_gaussian_sigma(sp_erf(1 / np.sqrt(2)), 2.0))
     anchor_b = float(solve_laplace_b(1 - np.exp(-1.0), 2.0))
     record_criterion(
@@ -151,6 +148,17 @@ def test_criterion_3_dc_round_trips(record_criterion):
 # 4. KL properties
 
 
+def _kl(p_ref: np.ndarray, p: np.ndarray) -> float:
+    """KL(p_ref || p) of one pixel through dc_loss with a frozen reference."""
+    n = len(p)
+    bins = build_bins(Tensor(np.full((1, n), 1.0 / n)), 0.0, 1.0)
+    loss = dc_loss(
+        Tensor(p.reshape(1, n, 1, 1)), np.zeros((1, 1, 1, 1)), bins, LossConfig(),
+        frozen_ref=p_ref.reshape(1, n, 1, 1),
+    )
+    return float(loss.data)
+
+
 def test_criterion_4_kl_properties(record_criterion):
     rng = np.random.default_rng(4)
     min_kl = np.inf
@@ -160,12 +168,15 @@ def test_criterion_4_kl_properties(record_criterion):
         p_ref /= p_ref.sum()
         p = rng.uniform(1e-6, 1.0, n)
         p /= p.sum()
-        min_kl = min(min_kl, kl_divergence(p_ref, p))
+        min_kl = min(min_kl, _kl(p_ref, p))
     eq = rng.uniform(0.1, 1.0, 8)
     eq /= eq.sum()
-    kl_self = kl_divergence(eq, eq)
-    ref = ReferenceDistribution("gaussian", location=0.0, scale=1.0)
-    masses = reference_bin_probs(ref, np.array([-3.0, -1.0, 1.0, 3.0]))
+    kl_self = _kl(eq, eq)
+    # P_m = erf(1/sqrt(2)) in the width-2 GT bin solves to sigma = 1
+    masses = _family_probs_grid(
+        "gaussian", np.array([-3.0, -1.0, 1.0, 3.0]), np.zeros((1, 1)),
+        np.full((1, 1), sp_erf(1 / np.sqrt(2))),
+    )[:, 0, 0]
     expected = np.array([0.157305, 0.682689, 0.157305])
     mass_err = float(np.max(np.abs(masses - expected)))
     record_criterion(
@@ -225,8 +236,9 @@ def test_criterion_6_metrics_oracles(record_criterion):
                     count += 1
         return (total / count) ** 0.5
 
-    err_full = abs(rmse_masked(pred, gt, np.ones_like(mask)) - loop_rmse(pred, gt, np.ones_like(mask)))
-    err_mask = abs(rmse_masked(pred, gt, mask) - loop_rmse(pred, gt, mask))
+    rep = compute_report(pred, gt, footprint=mask)
+    err_full = abs(rep.rmse - loop_rmse(pred, gt, np.ones_like(mask)))
+    err_mask = abs(rep.rmse_m - loop_rmse(pred, gt, mask))
 
     fp = np.zeros((8, 8))
     fp[2:5, 2:4] = 1.0
@@ -234,12 +246,12 @@ def test_criterion_6_metrics_oracles(record_criterion):
     pred_b = np.zeros((8, 8))
     gt_b[2:5, 2] = [10, 10, 12]
     pred_b[2:5, 2] = [8, 9, 100]
-    rmse_b = rmse_buildingwise(pred_b, gt_b, fp)
+    rmse_b = compute_report(pred_b, gt_b, footprint=fp).rmse_b
 
     n = mask.size
     n_m = int(mask.sum())
-    lhs = rmse_masked(pred, gt, np.ones_like(mask)) ** 2 * n
-    rhs = rmse_masked(pred, gt, mask) ** 2 * n_m + rmse_masked(pred, gt, ~mask) ** 2 * (n - n_m)
+    lhs = rep.rmse**2 * n
+    rhs = rep.rmse_m**2 * n_m + rep.rmse_nm**2 * (n - n_m)
     record_criterion(
         6,
         f"metrics: loop-oracle errors {max(err_full, err_mask):.2e}, medians case "

@@ -108,6 +108,8 @@ def test_infer_writes_height_raster_and_probe(trained, tmp_path, capsys):
     assert len(probe["probs"]) == 4
     assert abs(sum(probe["probs"]) - 1.0) < 1e-6
     assert min(probe["edges"]) == 0.0
+    # the probe reads the same forward pass the raster was written from
+    assert np.float32(probe["height"]) == patch.values[0, 2, 3]
 
 
 def test_infer_rejects_probe_outside_image(trained, tmp_path, capsys):

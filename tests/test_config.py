@@ -102,6 +102,14 @@ def test_optimizer_bounds(opt):
         RunConfig.from_dict({"optimizer": opt})
 
 
+def test_fg_threshold_must_lie_in_the_head_height_range():
+    with pytest.raises(ConfigError, match="fg_threshold"):
+        RunConfig.from_dict({"model": {"head": {"h_min": 2.0}}, "loss": {"lambdas": [1.0]}})
+    with pytest.raises(ConfigError, match="fg_threshold"):
+        RunConfig.from_dict({"loss": {"lambdas": [1.0], "fg_threshold": 120.0}})
+    RunConfig.from_dict({"loss": {"lambdas": [1.0], "fg_threshold": 100.0}})
+
+
 def test_widths_must_be_five_positive_ints():
     with pytest.raises(ConfigError, match="widths"):
         RunConfig.from_dict({"model": {"widths": [8, 16, 32]}})

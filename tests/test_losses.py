@@ -1,32 +1,32 @@
-"""Loss oracles: quadrature round-trips for the scale solvers, brute-force
-nearest-neighbor chamfer, hand BCE, KL properties, weighted totals."""
+"""Loss oracles: quadrature round-trips for the scale solvers, the reference
+CDF against closed forms, brute-force nearest-neighbor chamfer, hand BCE,
+KL properties through dc_loss, weighted totals."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erf as sp_erf
 
 from heightbins.errors import ConfigError, ContractViolation
 from heightbins.gradcheck import check_gradients
 from heightbins.head import build_bins
+from heightbins.errors import DomainError
 from heightbins.losses import (
     LossConfig,
-    ReferenceDistribution,
+    _family_probs_grid,
     average_pool_gt,
     build_reference_probs,
     chamfer_bin_loss,
     dc_loss,
-    htc_loss,
-    kl_divergence,
+    htc_loss_logits,
     l1_height_loss,
-    reference_bin_probs,
     solve_gaussian_sigma,
     solve_laplace_b,
-    solve_uniform_bounds,
     total_loss,
 )
-from heightbins.tensor import Tape, Tensor, sigmoid, softmax, tsum
+from heightbins.tensor import Tensor, softmax
 
 
 # --- scale solvers ----------------------------------------------------------
@@ -59,17 +59,16 @@ def test_laplace_b_round_trip_by_quadrature(p_m, delta):
 @pytest.mark.parametrize("p_m", [0.05, 0.3, 0.5, 0.8, 0.95])
 @pytest.mark.parametrize("delta", [0.5, 2.0, 10.0])
 def test_uniform_bin_mass_by_interval_overlap(p_m, delta):
-    a, b = solve_uniform_bounds(p_m, delta, 7.0)
+    # the GT value 7.0 sits at the center of bin 1; the support spans delta/p_m
     lo, hi = 7.0 - delta / 2, 7.0 + delta / 2
-    overlap = max(0.0, min(b, hi) - max(a, lo))
-    assert overlap / (b - a) == pytest.approx(p_m, abs=1e-12)
+    edges = np.array([lo - 1000.0, lo, hi, hi + 1000.0])
+    probs = grid_probs("uniform", edges, 7.0, p_m)
+    assert probs[1] == pytest.approx(p_m, abs=1e-12)
 
 
 def test_gaussian_anchor_sigma_one():
     # P_m = erf(1/sqrt(2)) is the mass of N(0,1) on [-1,1], so sigma=1 at delta=2
-    from scipy.special import erf
-
-    p_m = erf(1.0 / np.sqrt(2.0))
+    p_m = sp_erf(1.0 / np.sqrt(2.0))
     assert solve_gaussian_sigma(p_m, 2.0) == pytest.approx(1.0, abs=1e-9)
     assert solve_gaussian_sigma(0.5, 2.0) == pytest.approx(1.482602218505602, abs=1e-6)
 
@@ -92,54 +91,65 @@ def test_solver_monotonicity_in_pm():
 
 
 def test_uniform_bounds_examples():
-    assert solve_uniform_bounds(0.5, 2.0, 10.0) == (pytest.approx(8.0), pytest.approx(12.0))
-    a, b = solve_uniform_bounds(1.0, 2.0, 0.0)
-    assert b - a == pytest.approx(2.0)
+    # P_m = 0.5 in the width-2 bin [9, 11] around 10: support [8, 12]
+    edges = np.array([6.0, 8.0, 9.0, 11.0, 12.0, 14.0])
+    np.testing.assert_allclose(
+        grid_probs("uniform", edges, 10.0, 0.5), [0.0, 0.25, 0.5, 0.25, 0.0], atol=1e-12
+    )
+    # P_m = 1 shrinks the support to the containing bin itself
+    np.testing.assert_allclose(
+        grid_probs("uniform", edges, 10.0, 1.0), [0.0, 0.0, 1.0, 0.0, 0.0], atol=1e-12
+    )
 
 
 def test_nonpositive_delta_rejected():
     for fn in (solve_gaussian_sigma, solve_laplace_b):
         with pytest.raises(ContractViolation):
             fn(0.5, 0.0)
-    with pytest.raises(ContractViolation):
-        solve_uniform_bounds(0.5, -1.0, 0.0)
 
 
 # --- reference bin probabilities --------------------------------------------
 
 
+def grid_probs(family, edges, location, p_m):
+    """Reference probabilities of one pixel through the training CDF."""
+    loc = np.array([[location]], dtype=np.float64)
+    pm = np.array([[p_m]], dtype=np.float64)
+    return _family_probs_grid(family, np.asarray(edges, dtype=np.float64), loc, pm)[:, 0, 0]
+
+
 def test_gaussian_reference_over_unit_edges():
-    dist = ReferenceDistribution("gaussian", location=0.0, scale=1.0)
-    probs = reference_bin_probs(dist, np.array([-3.0, -1.0, 1.0, 3.0]))
+    # P_m = erf(1/sqrt(2)) in the width-2 center bin solves to sigma = 1
+    p_m = float(sp_erf(1.0 / np.sqrt(2.0)))
+    probs = grid_probs("gaussian", [-3.0, -1.0, 1.0, 3.0], 0.0, p_m)
     np.testing.assert_allclose(probs, [0.157305, 0.682689, 0.157305], atol=1e-5)
 
 
 def test_tiny_sigma_concentrates_in_containing_bin():
     bins = build_bins(Tensor(np.full((1, 10), 0.1)), 0.0, 100.0)
-    dist = ReferenceDistribution("gaussian", location=55.0, scale=1e-3)
-    probs = reference_bin_probs(dist, bins)
+    probs = grid_probs("gaussian", bins.edges.data[0], 55.0, 1.0 - 1e-13)
     assert probs[5] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uniform_spanning_bins_gives_proportional_mass():
+    # 2.0 ties into bin [1, 2]; P_m = 0.25 in that width-1 bin gives support [0, 4]
     edges = np.array([0.0, 1.0, 2.0, 4.0, 8.0])
-    dist = ReferenceDistribution("uniform", location=2.0, scale=4.0)  # support [0,4]
-    probs = reference_bin_probs(dist, edges)
+    probs = grid_probs("uniform", edges, 2.0, 0.25)
     np.testing.assert_allclose(probs, [0.25, 0.25, 0.5, 0.0], atol=1e-12)
 
 
 def test_delta_reference_and_edge_tie_breaks_low():
     edges = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
-    one_hot = reference_bin_probs(ReferenceDistribution("delta", 2.0), edges)
+    one_hot = grid_probs("delta", edges, 2.0, 0.5)
     np.testing.assert_array_equal(one_hot, [0, 1, 0, 0])
-    on_edge = reference_bin_probs(ReferenceDistribution("delta", 3.0), edges)
+    on_edge = grid_probs("delta", edges, 3.0, 0.5)
     np.testing.assert_array_equal(on_edge, [0, 1, 0, 0])  # lower bin wins
-    at_max = reference_bin_probs(ReferenceDistribution("delta", 10.0), edges)
+    at_max = grid_probs("delta", edges, 10.0, 0.5)
     np.testing.assert_array_equal(at_max, [0, 0, 0, 1])
 
 
 def test_none_reference_is_zero():
-    probs = reference_bin_probs(ReferenceDistribution("none", 5.0), np.array([0.0, 1.0]))
+    probs = grid_probs("none", [0.0, 1.0], 5.0, 0.5)
     np.testing.assert_array_equal(probs, [0.0])
 
 
@@ -149,11 +159,8 @@ def test_reference_mass_never_exceeds_one(seed):
     rng = np.random.default_rng(seed)
     edges = np.sort(rng.uniform(0, 100, 9))
     edges[0], edges[-1] = 0.0, 100.0
-    fam = rng.choice(["gaussian", "laplace", "uniform"])
-    dist = ReferenceDistribution(
-        str(fam), location=float(rng.uniform(0, 100)), scale=float(rng.uniform(0.01, 50))
-    )
-    probs = reference_bin_probs(dist, edges)
+    fam = str(rng.choice(["gaussian", "laplace", "uniform"]))
+    probs = grid_probs(fam, edges, float(rng.uniform(0, 100)), float(rng.uniform(1e-3, 1 - 1e-3)))
     assert np.all(probs >= 0)
     assert probs.sum() <= 1.0 + 1e-12
 
@@ -162,32 +169,35 @@ def test_reference_mass_never_exceeds_one(seed):
 def test_containing_bin_attains_max_for_centered_unimodal(family):
     edges = np.linspace(0.0, 100.0, 11)
     center = 0.5 * (edges[4] + edges[5])
-    p_m = 0.6
-    delta = edges[5] - edges[4]
-    if family == "gaussian":
-        scale = float(solve_gaussian_sigma(p_m, delta))
-    elif family == "laplace":
-        scale = float(solve_laplace_b(p_m, delta))
-    else:
-        scale = float(delta / p_m)
-    probs = reference_bin_probs(ReferenceDistribution(family, center, scale), edges)
+    probs = grid_probs(family, edges, center, 0.6)
     assert np.argmax(probs) == 4
 
 
 def test_invalid_family_and_scale_rejected():
+    edges = [0.0, 1.0, 2.0]
     with pytest.raises(ConfigError, match="family"):
-        ReferenceDistribution("cauchy", 0.0, 1.0)
-    with pytest.raises(ContractViolation, match="positive scale"):
-        ReferenceDistribution("gaussian", 0.0, -1.0)
+        grid_probs("cauchy", edges, 0.5, 0.5)
+    # P_m = 1 would need a Gaussian of zero scale
+    with pytest.raises(DomainError, match="P_m"):
+        grid_probs("gaussian", edges, 0.5, 1.0)
 
 
 # --- KL ----------------------------------------------------------------------
 
 
+def kl_through_dc_loss(p_ref, p):
+    """KL(p_ref || p) of one pixel as dc_loss computes it on the tape."""
+    n = len(p)
+    probs = Tensor(np.asarray(p, dtype=np.float64).reshape(1, n, 1, 1))
+    bins = build_bins(Tensor(np.full((1, n), 1.0 / n)), 0.0, 1.0)
+    ref = np.asarray(p_ref, dtype=np.float64).reshape(1, n, 1, 1)
+    return float(dc_loss(probs, np.zeros((1, 1, 1, 1)), bins, LossConfig(), frozen_ref=ref).data)
+
+
 def test_kl_zero_at_equality_and_log2_case():
     p = np.array([0.3, 0.7])
-    assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-15)
-    assert kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(
+    assert kl_through_dc_loss(p, p) == pytest.approx(0.0, abs=1e-15)
+    assert kl_through_dc_loss(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(
         np.log(2.0), abs=1e-12
     )
 
@@ -199,7 +209,7 @@ def test_kl_nonnegative(seed):
     n = int(rng.integers(2, 16))
     p_ref = rng.dirichlet(np.ones(n))
     p = rng.dirichlet(np.ones(n))
-    assert kl_divergence(p_ref, p) >= 0.0
+    assert kl_through_dc_loss(p_ref, p) >= 0.0
 
 
 # --- simple losses -----------------------------------------------------------
@@ -271,35 +281,40 @@ def test_chamfer_gradients():
     check_gradients(lambda: chamfer_bin_loss(edges, gt), [edges], name="chamfer")
 
 
+def bce_oracle(p, gt, threshold=1.0):
+    """Mean binary cross-entropy of gate probabilities, pixel by pixel."""
+    total = 0.0
+    for q, g in zip(np.ravel(p), np.ravel(gt)):
+        total -= np.log(q) if g > threshold else np.log(1.0 - q)
+    return total / np.size(p)
+
+
 def test_htc_loss_half_gate_is_log2():
-    gate = Tensor(np.full((1, 1, 2, 2), 0.5))
+    gate = Tensor(np.zeros((1, 1, 2, 2)))
     gt = np.array([[[[0.0, 5.0], [2.0, 0.3]]]])
-    assert float(htc_loss(gate, gt).data) == pytest.approx(np.log(2.0), rel=1e-12)
+    assert float(htc_loss_logits(gate, gt).data) == pytest.approx(np.log(2.0), rel=1e-12)
 
 
 def test_htc_loss_confident_correct_goes_to_zero():
     gt = np.array([[[[0.0, 5.0], [2.0, 0.3]]]])
-    label = (gt > 1.0).astype(float)
-    gate = Tensor(np.clip(label, 1e-9, 1 - 1e-9))
-    assert float(htc_loss(gate, gt).data) < 1e-7
+    logits = Tensor(np.where(gt > 1.0, 40.0, -40.0))
+    assert float(htc_loss_logits(logits, gt).data) < 1e-7
 
 
 def test_htc_loss_hand_computed_2x2():
     gt = np.array([[[[0.0, 5.0], [2.0, 0.3]]]])  # labels 0,1,1,0
     p = np.array([[[[0.2, 0.9], [0.6, 0.4]]]])
     want = -(np.log(0.8) + np.log(0.9) + np.log(0.6) + np.log(0.6)) / 4
-    got = float(htc_loss(Tensor(p), gt).data)
+    got = float(htc_loss_logits(Tensor(np.log(p / (1.0 - p))), gt).data)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_htc_loss_logits_matches_probability_form():
-    from heightbins.losses import htc_loss_logits
-
     rng = np.random.default_rng(12)
-    z = Tensor(rng.standard_normal((1, 1, 4, 4)) * 3.0)
+    z = rng.standard_normal((1, 1, 4, 4)) * 3.0
     gt = rng.uniform(0, 3, (1, 1, 4, 4))
-    via_probs = float(htc_loss(sigmoid(z), gt).data)
-    via_logits = float(htc_loss_logits(z, gt).data)
+    via_probs = bce_oracle(1.0 / (1.0 + np.exp(-z)), gt)
+    via_logits = float(htc_loss_logits(Tensor(z), gt).data)
     assert via_logits == pytest.approx(via_probs, rel=1e-9)
     # zero logits give the coin-flip entropy regardless of labels
     assert float(htc_loss_logits(Tensor(np.zeros((1, 1, 2, 2))), gt[:, :, :2, :2]).data) == (
@@ -315,7 +330,7 @@ def test_htc_loss_gradients():
     rng = np.random.default_rng(4)
     logits = Tensor(rng.standard_normal((1, 1, 3, 3)), requires_grad=True)
     gt = rng.uniform(0, 3, (1, 1, 3, 3))
-    check_gradients(lambda: htc_loss(sigmoid(logits), gt), [logits], name="htc")
+    check_gradients(lambda: htc_loss_logits(logits, gt), [logits], name="htc")
 
 
 # --- dc loss -----------------------------------------------------------------
@@ -343,9 +358,13 @@ def test_dc_loss_matches_numpy_kl_oracle():
     cfg = LossConfig(fg_family="laplace", bg_family="uniform", fg_threshold=20.0)
     ref = build_reference_probs(probs.data, gt, bins.edges.data, cfg)
     got = float(dc_loss(probs, gt, bins, cfg).data)
+
+    def kl(p_ref, p):
+        return sum(r * (np.log(r) - np.log(q)) for r, q in zip(p_ref, p) if r > 0)
+
     want = np.mean(
         [
-            kl_divergence(ref[b, :, i, j], probs.data[b, :, i, j])
+            kl(ref[b, :, i, j], probs.data[b, :, i, j])
             for b in range(2)
             for i in range(3)
             for j in range(3)
@@ -399,11 +418,13 @@ def test_pm_constant_source():
 
 
 class FakeOutput:
-    def __init__(self, heights, probs, bins, fg_prob=None):
+    """The HeadOutput fields total_loss reads, for a head without a gate."""
+
+    def __init__(self, heights, probs, bins):
         self.heights = heights
         self.probs = probs
         self.bins = bins
-        self.fg_prob = fg_prob
+        self.fg_logit = None
 
 
 def test_total_loss_single_level_mu_zero_equals_l1():

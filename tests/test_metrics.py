@@ -1,21 +1,18 @@
-"""Metric oracles: direct-loop RMSE, scipy.ndimage labeling, hand medians,
-and the exact mask-partition decomposition."""
+"""Metric oracles for compute_report and MetricAccumulator: direct-loop
+RMSE, a brute-force flood fill for component labels, hand medians, and the
+exact mask-partition decomposition."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
-from heightbins.errors import ConfigError, ContractViolation
+from heightbins.errors import ContractViolation
 from heightbins.metrics import (
     EvalReport,
     MetricAccumulator,
     compute_report,
     connected_components,
-    htc_accuracy,
-    rmse_buildingwise,
-    rmse_masked,
 )
 
 
@@ -31,10 +28,9 @@ def loop_rmse(pred, gt, mask):
 
 def test_rmse_identities():
     gt = np.random.default_rng(0).uniform(0, 30, (8, 8))
-    full = np.ones((8, 8), bool)
-    assert rmse_masked(gt, gt, full) == 0.0
-    assert rmse_masked(gt + 3.0, gt, full) == pytest.approx(3.0)
-    assert rmse_masked(gt, gt, np.zeros((8, 8), bool)) is None
+    assert compute_report(gt, gt).rmse == 0.0
+    assert compute_report(gt + 3.0, gt).rmse == pytest.approx(3.0)
+    assert compute_report(gt, gt, footprint=np.zeros((8, 8), bool)).rmse_m is None
 
 
 def test_rmse_matches_loop_oracle():
@@ -43,17 +39,20 @@ def test_rmse_matches_loop_oracle():
         pred = rng.uniform(0, 50, (8, 8))
         gt = rng.uniform(0, 50, (8, 8))
         mask = rng.random((8, 8)) > 0.4
-        want = loop_rmse(pred, gt, mask)
-        got = rmse_masked(pred, gt, mask)
-        if want is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(want, rel=1e-12)
+        rep = compute_report(pred, gt, footprint=mask)
+        for got, m in ((rep.rmse, np.ones_like(mask)), (rep.rmse_m, mask), (rep.rmse_nm, ~mask)):
+            want = loop_rmse(pred, gt, m)
+            if want is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_rmse_shape_mismatch():
     with pytest.raises(ContractViolation, match="match"):
-        rmse_masked(np.zeros((2, 2)), np.zeros((3, 3)), np.ones((2, 2), bool))
+        compute_report(np.zeros((2, 2)), np.zeros((3, 3)))
+    with pytest.raises(ContractViolation, match="match"):
+        compute_report(np.zeros((2, 2)), np.zeros((2, 2)), footprint=np.ones((3, 3), bool))
 
 
 def test_partition_identity_exact():
@@ -62,13 +61,44 @@ def test_partition_identity_exact():
     gt = rng.uniform(0, 50, (8, 8))
     m = gt > 1.0
     n, n_m, n_nm = gt.size, int(m.sum()), int((~m).sum())
-    rmse = rmse_masked(pred, gt, np.ones_like(m))
-    rmse_m = rmse_masked(pred, gt, m)
-    rmse_nm = rmse_masked(pred, gt, ~m)
-    assert rmse**2 * n == pytest.approx(rmse_m**2 * n_m + rmse_nm**2 * n_nm, rel=1e-12)
+    rep = compute_report(pred, gt, footprint=m)
+    assert rep.rmse**2 * n == pytest.approx(rep.rmse_m**2 * n_m + rep.rmse_nm**2 * n_nm, rel=1e-12)
+
+
+def test_rmse_bg_follows_fg_threshold():
+    # the 1.5 m row lies below a 2.0 m threshold, so it belongs to BG
+    gt = np.zeros((4, 4))
+    gt[1] = 1.5
+    gt[3] = 10.0
+    pred = gt + 0.1
+    pred[1] += 0.9
+    rep = compute_report(pred, gt, fg_threshold=2.0)
+    assert rep.rmse_bg == pytest.approx(loop_rmse(pred, gt, gt < 2.0), rel=1e-12)
+    assert rep.rmse_bg == pytest.approx(np.sqrt((8 * 0.1**2 + 4 * 1.0**2) / 12), rel=1e-12)
 
 
 # --- connected components -----------------------------------------------------
+
+
+def flood_fill_labels(mask):
+    """Oracle: 4-connected flood fill, labels in row-major first-pixel order."""
+    h, w = mask.shape
+    labels = np.zeros((h, w), dtype=np.int64)
+    count = 0
+    for si in range(h):
+        for sj in range(w):
+            if not mask[si, sj] or labels[si, sj]:
+                continue
+            count += 1
+            stack = [(si, sj)]
+            labels[si, sj] = count
+            while stack:
+                i, j = stack.pop()
+                for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                    if 0 <= ni < h and 0 <= nj < w and mask[ni, nj] and not labels[ni, nj]:
+                        labels[ni, nj] = count
+                        stack.append((ni, nj))
+    return labels, count
 
 
 def test_component_count_basics():
@@ -83,21 +113,18 @@ def test_component_count_basics():
 
 def test_diagonal_pixels_split_under_4_connectivity():
     diag = np.eye(4, dtype=bool)
-    assert connected_components(diag, connectivity=4)[1] == 4
-    assert connected_components(diag, connectivity=8)[1] == 1
+    assert connected_components(diag)[1] == 4
 
 
-def test_labels_match_scipy_up_to_relabeling():
+def test_labels_match_flood_fill_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        mask = rng.random((12, 12)) > 0.6
+    for _ in range(200):
+        h, w = (int(v) for v in rng.integers(1, 33, 2))
+        mask = rng.random((h, w)) > rng.uniform(0.2, 0.8)
         labels, count = connected_components(mask)
-        ref, ref_count = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        assert count == ref_count
-        # identical partition: each of my labels maps to exactly one scipy label
-        for k in range(1, count + 1):
-            assert len(np.unique(ref[labels == k])) == 1
-        assert np.array_equal(labels > 0, ref > 0)
+        want, want_count = flood_fill_labels(mask)
+        assert count == want_count
+        np.testing.assert_array_equal(labels, want)
 
 
 def test_translation_invariance():
@@ -108,11 +135,6 @@ def test_translation_invariance():
     assert connected_components(mask)[1] == connected_components(shifted)[1]
 
 
-def test_bad_connectivity():
-    with pytest.raises(ConfigError, match="connectivity"):
-        connected_components(np.ones((2, 2), bool), connectivity=6)
-
-
 def test_large_snake_does_not_recurse_out():
     mask = np.zeros((64, 64), bool)
     mask[::2, :] = True
@@ -121,6 +143,8 @@ def test_large_snake_does_not_recurse_out():
         mask[i + 2, 0] = True
     labels, count = connected_components(mask)
     assert count == 1
+    want, _ = flood_fill_labels(mask)
+    np.testing.assert_array_equal(labels, want)
 
 
 # --- building-wise ------------------------------------------------------------
@@ -133,7 +157,7 @@ def test_buildingwise_hand_median_case():
     fp[0, 0] = fp[0, 1] = fp[0, 2] = True
     gt[0] = [10, 10, 12]
     pred[0] = [8, 9, 100]
-    assert rmse_buildingwise(pred, gt, fp) == pytest.approx(1.0)
+    assert compute_report(pred, gt, footprint=fp).rmse_b == pytest.approx(1.0)
 
 
 def test_buildingwise_trivials():
@@ -141,12 +165,12 @@ def test_buildingwise_trivials():
     fp = np.zeros((6, 6), bool)
     fp[1:3, 1:3] = True
     fp[4:6, 4:6] = True
-    assert rmse_buildingwise(gt, gt, fp) == 0.0
+    assert compute_report(gt, gt, footprint=fp).rmse_b == 0.0
     pred = gt.copy()
     pred[1:3, 1:3] += 1.0
     pred[4:6, 4:6] -= 1.0
-    assert rmse_buildingwise(pred, gt, fp) == pytest.approx(1.0)
-    assert rmse_buildingwise(pred, gt, np.zeros((6, 6), bool)) is None
+    assert compute_report(pred, gt, footprint=fp).rmse_b == pytest.approx(1.0)
+    assert compute_report(pred, gt, footprint=np.zeros((6, 6), bool)).rmse_b is None
 
 
 def test_even_count_median_is_mean_of_middle_two():
@@ -155,20 +179,26 @@ def test_even_count_median_is_mean_of_middle_two():
     fp = np.ones((1, 4), bool)
     gt[0] = [1, 2, 3, 4]  # median 2.5
     pred[0] = [1, 2, 3, 10]  # median 2.5
-    assert rmse_buildingwise(pred, gt, fp) == pytest.approx(0.0)
+    assert compute_report(pred, gt, footprint=fp).rmse_b == pytest.approx(0.0)
 
 
 # --- accuracy -----------------------------------------------------------------
 
 
+def gate_accuracy(p_fg, gt):
+    return compute_report(gt, gt, fg_prob=p_fg).htc_accuracy
+
+
 def test_htc_accuracy_cases():
     gt = np.array([[0.0, 5.0], [2.0, 0.5]])
     perfect = (gt > 1.0).astype(float)
-    assert htc_accuracy(perfect, gt) == 1.0
-    assert htc_accuracy(1.0 - perfect, gt) == 0.0
+    assert gate_accuracy(perfect, gt) == 1.0
+    assert gate_accuracy(1.0 - perfect, gt) == 0.0
     half = perfect.copy()
     half[0] = 1.0 - half[0]
-    assert htc_accuracy(half, gt) == 0.5
+    assert gate_accuracy(half, gt) == 0.5
+    # the gate is scored against the report's own threshold
+    assert compute_report(gt, gt, fg_prob=perfect, fg_threshold=3.0).htc_accuracy == 0.75
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -177,7 +207,7 @@ def test_accuracy_bounds(seed):
     rng = np.random.default_rng(seed)
     p = rng.random((5, 5))
     gt = rng.uniform(0, 3, (5, 5))
-    assert 0.0 <= htc_accuracy(p, gt) <= 1.0
+    assert 0.0 <= gate_accuracy(p, gt) <= 1.0
 
 
 # --- report and accumulator ----------------------------------------------------
@@ -192,7 +222,7 @@ def test_compute_report_fields_and_validation():
     rep.validate()
     assert rep.building_count == 1
     assert rep.htc_accuracy == 1.0
-    assert rep.rmse_bg == rmse_masked(pred, gt, gt < 1.0)
+    assert rep.rmse_bg == pytest.approx(loop_rmse(pred, gt, gt < 1.0), rel=1e-12)
     d = rep.to_dict()
     assert set(d) == {
         "rmse",
@@ -230,8 +260,9 @@ def test_accumulator_pools_like_concatenation():
     rep = acc.report()
     big_pred = np.concatenate([p.reshape(-1) for p in preds]).reshape(1, -1)
     big_gt = np.concatenate([g.reshape(-1) for g in gts]).reshape(1, -1)
-    assert rep.rmse == pytest.approx(rmse_masked(big_pred, big_gt, np.ones_like(big_gt, bool)))
-    assert rep.rmse_m == pytest.approx(rmse_masked(big_pred, big_gt, big_gt > 1.0))
+    whole = compute_report(big_pred, big_gt)
+    assert rep.rmse == pytest.approx(whole.rmse)
+    assert rep.rmse_m == pytest.approx(whole.rmse_m)
     assert rep.building_count == 3
 
 
@@ -245,9 +276,9 @@ def test_footprint_mask_separates_nm_from_bg():
     pred = gt + 1.0
     rep = compute_report(pred, gt, footprint=fp)
     assert rep.building_count == 1
-    assert rep.rmse_m == pytest.approx(rmse_masked(pred, gt, fp))
-    assert rep.rmse_nm == pytest.approx(rmse_masked(pred, gt, ~fp))
-    assert rep.rmse_bg == pytest.approx(rmse_masked(pred, gt, gt < 1.0))
+    assert rep.rmse_m == pytest.approx(loop_rmse(pred, gt, fp))
+    assert rep.rmse_nm == pytest.approx(loop_rmse(pred, gt, ~fp))
+    assert rep.rmse_bg == pytest.approx(loop_rmse(pred, gt, gt < 1.0))
     # NM has 15 pixels, BG has 14: values coincide here (constant error) but masks differ
     n_nm = int((~fp).sum())
     n_bg = int((gt < 1.0).sum())
